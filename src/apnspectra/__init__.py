@@ -8,7 +8,6 @@ from .vbf import (
     SpectrumReport,
     VectorialFunction,
     WalshSpectrum,
-    build_function,
     component_truth_table,
     differential_spectrum,
     fwht,
@@ -24,6 +23,7 @@ from .families import (
     LinearizedMap,
     Taniguchi,
     ZhouPott,
+    build_function,
     butterfly_degenerate,
     carlet11_degenerate_triple,
     carlet11_is_apn,

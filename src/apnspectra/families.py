@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .gf2m import BULK_TABLE_MAX_M, Field, field as canonical_field
+from .gf2m import Field, field as canonical_field
 from .linalg import gf2_kernel_basis, gf2_span
 from .vbf import VectorialFunction
 
@@ -64,10 +64,9 @@ class LinearizedMap:
 
     def evaluate_array(self, f: Field, xs: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(xs)
-        mt = f.mul_table
         for e, c in enumerate(self.coeffs):
             if c:
-                acc ^= mt[c][f.frobenius_table(e)[xs]]
+                acc ^= f.mul_array(c, f.frobenius_table(e)[xs])
         return acc
 
     def scale_argument(self, f: Field, c: int) -> "LinearizedMap":
@@ -199,14 +198,7 @@ def build_function(params: FamilyParams, f: Field | None = None) -> VectorialFun
     if f is None:
         f = canonical_field(params.m)
     validate(params, f)
-    if f.m <= BULK_TABLE_MAX_M:
-        table = _TABLE_BUILDERS[type(params)](params, f)
-    else:
-        q = f.order
-        ev = functools.partial(_POINT_EVALUATORS[type(params)], params, f)
-        table = np.fromiter((ev(i & (q - 1), i >> f.m) for i in range(q * q)),
-                            dtype=np.int64, count=q * q)
-    return VectorialFunction(f, table)
+    return VectorialFunction(f, _TABLE_BUILDERS[type(params)](params, f))
 
 
 def _xy_grid(f: Field):
@@ -221,53 +213,53 @@ def _pack(f: Field, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
 
 def _table_taniguchi(p: Taniguchi, f: Field) -> np.ndarray:
     x, y = _xy_grid(f)
-    mt = f.mul_table
+    mul = f.mul_array
     x2k = f.frobenius_table(2 * p.k)[x]
     yk = f.frobenius_table(p.k)[y]
-    g = (mt[f.frobenius_table(3 * p.k)[x], x2k]
-         ^ mt[p.alpha][mt[x2k, yk]]
-         ^ mt[p.beta][mt[yk, y]])
-    return _pack(f, mt[x, y], g)
+    g = (mul(f.frobenius_table(3 * p.k)[x], x2k)
+         ^ mul(p.alpha, mul(x2k, yk))
+         ^ mul(p.beta, mul(yk, y)))
+    return _pack(f, mul(x, y), g)
 
 
 def _table_carlet11(p: Carlet11, f: Field) -> np.ndarray:
     x, y = _xy_grid(f)
-    mt = f.mul_table
+    mul = f.mul_array
     xi, xj = f.frobenius_table(p.i)[x], f.frobenius_table(p.j)[x]
     yi, yj = f.frobenius_table(p.i)[y], f.frobenius_table(p.j)[y]
-    g = (mt[p.s][mt[xi, xj]] ^ mt[p.u][mt[xi, yj]]
-         ^ mt[p.v][mt[xj, yi]] ^ mt[p.t][mt[yi, yj]])
-    return _pack(f, mt[x, y], g)
+    g = (mul(p.s, mul(xi, xj)) ^ mul(p.u, mul(xi, yj))
+         ^ mul(p.v, mul(xj, yi)) ^ mul(p.t, mul(yi, yj)))
+    return _pack(f, mul(x, y), g)
 
 
 def _table_zhoupott(p: ZhouPott, f: Field) -> np.ndarray:
     x, y = _xy_grid(f)
-    mt = f.mul_table
-    g = (mt[f.frobenius_table(p.k)[x], x]
-         ^ mt[p.alpha][f.frobenius_table(p.j)[mt[f.frobenius_table(p.k)[y], y]]])
-    return _pack(f, mt[x, y], g)
+    mul = f.mul_array
+    g = (mul(f.frobenius_table(p.k)[x], x)
+         ^ mul(p.alpha, f.frobenius_table(p.j)[mul(f.frobenius_table(p.k)[y], y)]))
+    return _pack(f, mul(x, y), g)
 
 
 def _table_butterfly(p: Butterfly, f: Field) -> np.ndarray:
     x, y = _xy_grid(f)
-    mt = f.mul_table
+    mul = f.mul_array
     sq = f.frobenius_table(1)
 
     def branch(x_, y_):
-        t = x_ ^ mt[p.alpha][y_]
-        return mt[sq[t], t] ^ mt[p.beta][mt[sq[y_], y_]]
+        t = x_ ^ mul(p.alpha, y_)
+        return mul(sq[t], t) ^ mul(p.beta, mul(sq[y_], y_))
 
     return _pack(f, branch(x, y), branch(y, x))
 
 
 def _table_carlet_general(p: CarletGeneral, f: Field) -> np.ndarray:
     x, y = _xy_grid(f)
-    mt = f.mul_table
+    mul = f.mul_array
     xk = f.frobenius_table(p.k)[x]
     yk = f.frobenius_table(p.k)[y]
-    g = (p.p.evaluate_array(f, mt[xk, x]) ^ p.q.evaluate_array(f, mt[xk, y])
-         ^ p.r.evaluate_array(f, mt[x, yk]) ^ p.s.evaluate_array(f, mt[yk, y]))
-    return _pack(f, mt[x, y], g)
+    g = (p.p.evaluate_array(f, mul(xk, x)) ^ p.q.evaluate_array(f, mul(xk, y))
+         ^ p.r.evaluate_array(f, mul(x, yk)) ^ p.s.evaluate_array(f, mul(yk, y)))
+    return _pack(f, mul(x, y), g)
 
 
 def _point_taniguchi(p: Taniguchi, f: Field, x: int, y: int) -> int:
@@ -318,6 +310,7 @@ _TABLE_BUILDERS = {
     CarletGeneral: _table_carlet_general,
 }
 
+# Scalar oracles through the checked Field.mul, read only by the tests.
 _POINT_EVALUATORS = {
     Taniguchi: _point_taniguchi,
     Carlet11: _point_carlet11,

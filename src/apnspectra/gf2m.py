@@ -18,6 +18,9 @@ first few are
 (the full table for 2 <= m <= 16 is printed by ``canonical_polynomial`` and
 documented in the README).  All reported element literals are hex encodings
 of the coefficient bit-vector in this basis.
+
+``Field.mul`` is the checked shift-and-add reference; every fast multiply
+and Frobenius table reads one lazy pair of log/antilog tables, for every m.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import numpy as np
 MIN_M = 2
 MAX_M = 16
 
-# Bulk numpy helper tables (full multiplication table etc.) are only built
-# up to this degree; above it the scalar ops still work.
+# The full multiplication table has 4^m entries and is only built up to
+# this degree; the log/antilog tables behind it exist for every m.
 BULK_TABLE_MAX_M = 8
 
 
@@ -201,11 +204,6 @@ class Field:
             return int(x)
         return int(self.frobenius_table(e)[x])
 
-    def _frobenius_slow(self, x: int, e: int) -> int:
-        for _ in range(e % self.m):
-            x = self.mul(x, x)
-        return x
-
     def trace(self, x: int) -> int:
         """Absolute trace x + x^2 + ... + x^(2^(m-1)), always 0 or 1."""
         self.check(x)
@@ -259,6 +257,35 @@ class Field:
         return tab
 
     @property
+    def log_exp(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, exp) to the least primitive g; x is not always primitive.
+
+        exp[i] = g^i for i < 2(q-1), so exp[log[a] + log[b]] needs no mod;
+        log[0] = 0 is a placeholder that callers mask.
+        """
+
+        def build():
+            q = self.order
+            for g in range(2, q):
+                powers = [1]
+                while (x := self.mul(powers[-1], g)) != 1:
+                    powers.append(x)
+                if len(powers) == q - 1:
+                    break
+            exp = np.array(powers + powers, dtype=np.int64)
+            log = np.zeros(q, dtype=np.int64)
+            log[exp[:q - 1]] = np.arange(q - 1, dtype=np.int64)
+            return log, exp
+
+        return self._cached("logexp", build)
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise products; a and b broadcast (ints or int arrays)."""
+        log, exp = self.log_exp
+        a, b = np.asarray(a), np.asarray(b)
+        return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
+
+    @property
     def mul_table(self) -> np.ndarray:
         """Full (2^m, 2^m) multiplication table; only for m <= 8."""
         if self.m > BULK_TABLE_MAX_M:
@@ -266,23 +293,22 @@ class Field:
                               f"{BULK_TABLE_MAX_M}")
 
         def build():
-            q = self.order
-            t = np.zeros((q, q), dtype=np.int64)
-            for a in range(1, q):
-                row = t[a]
-                for b in range(1, q):
-                    row[b] = self.mul(a, b)
-            return t
+            idx = np.arange(self.order, dtype=np.int64)
+            return self.mul_array(idx[:, None], idx[None, :])
 
         return self._cached("mul", build)
 
     def frobenius_table(self, e: int) -> np.ndarray:
         """Vector of x -> x^(2^e) over all field elements."""
         e %= self.m
-        return self._cached(
-            ("frob", e),
-            lambda: np.array([self._frobenius_slow(x, e)
-                              for x in range(self.order)], dtype=np.int64))
+
+        def build():
+            log, exp = self.log_exp
+            t = exp[(log << e) % (self.order - 1)]
+            t[0] = 0
+            return t
+
+        return self._cached(("frob", e), build)
 
     @property
     def trace_masks(self) -> np.ndarray:
@@ -307,15 +333,13 @@ class Field:
 
     @property
     def scalar_mul(self):
-        """Fastest available scalar multiply (table-backed for m <= 8)."""
-        if self.m > BULK_TABLE_MAX_M:
-            return self.mul
+        """Unchecked scalar multiply over the log/antilog tables."""
 
         def build():
-            table = self.mul_table
+            log, exp = (t.tolist() for t in self.log_exp)
 
-            def mul(a, b, _t=table):
-                return int(_t[a, b])
+            def mul(a, b, _log=log, _exp=exp):
+                return _exp[_log[a] + _log[b]] if a and b else 0
 
             return mul
 

@@ -3,21 +3,6 @@
 from __future__ import annotations
 
 
-def gf2_rank(vectors) -> int:
-    """Rank of a set of bit-vector ints over GF(2)."""
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        v = int(v)
-        while v:
-            h = v.bit_length() - 1
-            if h in pivots:
-                v ^= pivots[h]
-            else:
-                pivots[h] = v
-                break
-    return len(pivots)
-
-
 def gf2_kernel_basis(columns) -> list[int]:
     """Kernel basis of the map sending e_j to columns[j].
 

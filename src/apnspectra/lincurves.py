@@ -78,15 +78,13 @@ class LinearizedBivariate:
                     acc ^= mul(dcoef, int(frob[y]))
         return acc
 
-    def zero_set(self) -> list[int]:
-        """All (x, y) zeros, packed x | y << m."""
-        f = self.field
-        cols = [self.evaluate(*_unpack_basis(f, t)) for t in range(2 * f.m)]
-        return sorted(gf2_span(gf2_kernel_basis(cols)))
 
-
-def _unpack_basis(f: Field, t: int) -> tuple[int, int]:
-    return (1 << t, 0) if t < f.m else (0, 1 << (t - f.m))
+def _basis_columns(f: Field, a, b) -> list[int]:
+    """a(e_t) | b(e_t) << m over the basis e_t of GF(2^m)^2, for evaluators
+    a, b: (x, y) -> element; the map's kernel is their common zero set."""
+    basis = ([(1 << t, 0) for t in range(f.m)]
+             + [(0, 1 << t) for t in range(f.m)])
+    return [a(x, y) | (b(x, y) << f.m) for x, y in basis]
 
 
 @dataclass(frozen=True)
@@ -245,22 +243,14 @@ def _require_compatible(a: LinearizedBivariate, b: LinearizedBivariate) -> None:
 def kernel_dimension(a: LinearizedBivariate, b: LinearizedBivariate) -> int:
     """GF(2) dimension of the common zero set of (a, b) on GF(2^m)^2."""
     _require_compatible(a, b)
-    f = a.field
-    cols = []
-    for t in range(2 * f.m):
-        x, y = _unpack_basis(f, t)
-        cols.append(a.evaluate(x, y) | (b.evaluate(x, y) << f.m))
+    cols = _basis_columns(a.field, a.evaluate, b.evaluate)
     return len(gf2_kernel_basis(cols))
 
 
 def kernel_zero_set(a: LinearizedBivariate, b: LinearizedBivariate) -> list[int]:
     """The common zeros themselves, packed x | y << m, sorted."""
     _require_compatible(a, b)
-    f = a.field
-    cols = []
-    for t in range(2 * f.m):
-        x, y = _unpack_basis(f, t)
-        cols.append(a.evaluate(x, y) | (b.evaluate(x, y) << f.m))
+    cols = _basis_columns(a.field, a.evaluate, b.evaluate)
     return sorted(gf2_span(gf2_kernel_basis(cols)))
 
 
@@ -447,20 +437,8 @@ def derive_pair_generic(params: FamilyParams, lam: int, mu: int,
     return functionals[0], functionals[1]
 
 
-def kernel_dimension_generic(f: Field, fa: FrobeniusFunctional,
-                             fb: FrobeniusFunctional) -> int:
-    """Common-zero dimension for functionals in direction variables."""
-    cols = []
-    for t in range(2 * f.m):
-        u, v = _unpack_basis(f, t)
-        cols.append(fa.evaluate(u, v) | (fb.evaluate(u, v) << f.m))
-    return len(gf2_kernel_basis(cols))
-
-
 def kernel_zero_set_generic(f: Field, fa: FrobeniusFunctional,
                             fb: FrobeniusFunctional) -> list[int]:
-    cols = []
-    for t in range(2 * f.m):
-        u, v = _unpack_basis(f, t)
-        cols.append(fa.evaluate(u, v) | (fb.evaluate(u, v) << f.m))
+    """Common zeros of two functionals in direction variables, sorted."""
+    cols = _basis_columns(f, fa.evaluate, fb.evaluate)
     return sorted(gf2_span(gf2_kernel_basis(cols)))

@@ -85,13 +85,6 @@ class VectorialFunction:
         return VectorialFunction(self.field, t)
 
 
-def build_function(params, field: Field | None = None) -> VectorialFunction:
-    """Evaluate a family parameter record into a full truth table."""
-    from . import families
-
-    return families.build_function(params, field)
-
-
 # ----------------------------------------------------------------------
 # Walsh transform
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Each ``verify_*`` function sweeps a parameter grid, runs the fast spectral
 path together with the independent oracles, and returns a
 :class:`Finding`.  Sweeps are exhaustive for m <= 4 and switch to
-fixed-seed uniform sampling (200 tuples per degree and family) above that;
-the seed is recorded in the finding, so reruns reproduce identical
+fixed-seed sampling of 200 distinct tuples per degree and family above
+that; the seed is recorded in the finding, so reruns reproduce identical
 counterexample lists.
 
 Outcomes outside the hypotheses that make a claim provable at small m
@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
+from .errors import ParameterError
 from .families import (
     Butterfly,
     Carlet11,
@@ -110,15 +111,30 @@ def _nl_from_peaks(m: int, peaks: np.ndarray) -> int:
 # parameter grids (shared with the acceptance suite)
 # ----------------------------------------------------------------------
 
+def _distinct_draws(draw, count: int, space: int) -> list:
+    """count distinct results of draw() in first-drawn order; a repeat is
+    skipped and drawn again.  space bounds the distinct results, so a count
+    above it is rejected before any draw instead of looping forever."""
+    if count > space:
+        raise ParameterError(f"cannot sample {count} distinct instances "
+                             f"from {space}")
+    out: dict = {}
+    while len(out) < count:
+        out[draw()] = None
+    return list(out)
+
+
 def taniguchi_grid(m: int, seed: int = DEFAULT_SEED) -> list[Taniguchi]:
     f = canonical_field(m)
     if m <= EXHAUSTIVE_MAX_M:
         return [Taniguchi(m, k, a, b) for k in _coprime_steps(m)
                 for a in f.nonzero_elements() for b in f.nonzero_elements()]
     rng = random.Random(f"{seed}:taniguchi:{m}")
-    return [Taniguchi(m, rng.choice(_coprime_steps(m)),
-                      rng.randrange(1, f.order), rng.randrange(1, f.order))
-            for _ in range(SAMPLE_SIZE)]
+    return _distinct_draws(
+        lambda: Taniguchi(m, rng.choice(_coprime_steps(m)),
+                          rng.randrange(1, f.order),
+                          rng.randrange(1, f.order)),
+        SAMPLE_SIZE, len(_coprime_steps(m)) * (f.order - 1) ** 2)
 
 
 def carlet11_degenerate_grid(m: int) -> list[Carlet11]:
@@ -142,13 +158,15 @@ def carlet11_sampled_grid(m: int, seed: int = DEFAULT_SEED,
     rng = random.Random(f"{seed}:carlet11:{m}")
     pairs = [(i, j) for i in range(m) for j in range(m)
              if math.gcd((i - j) % m, m) == 1]
-    out = []
-    for _ in range(count):
+
+    def draw():
         i, j = rng.choice(pairs)
-        out.append(Carlet11(m, i, j,
-                            rng.randrange(1, f.order), rng.randrange(1, f.order),
-                            rng.randrange(f.order), rng.randrange(f.order)))
-    return out
+        return Carlet11(m, i, j,
+                        rng.randrange(1, f.order), rng.randrange(1, f.order),
+                        rng.randrange(f.order), rng.randrange(f.order))
+
+    return _distinct_draws(draw, count,
+                           len(pairs) * (f.order - 1) ** 2 * f.order ** 2)
 
 
 def zhoupott_grid(m: int, js=(0, 1, 2, 3)) -> list[ZhouPott]:
@@ -163,12 +181,14 @@ def butterfly_grid(m: int, seed: int = DEFAULT_SEED) -> list[Butterfly]:
         return [Butterfly(m, a, b) for a in f.nonzero_elements()
                 for b in f.nonzero_elements()]
     rng = random.Random(f"{seed}:butterfly:{m}")
-    out = [Butterfly(m, rng.randrange(1, f.order), rng.randrange(1, f.order))
-           for _ in range(SAMPLE_SIZE)]
+    out = _distinct_draws(
+        lambda: Butterfly(m, rng.randrange(1, f.order),
+                          rng.randrange(1, f.order)),
+        SAMPLE_SIZE, (f.order - 1) ** 2)
     # make sure the degenerate branch beta = (1+alpha)^3 is exercised
     for a in f.nonzero_elements():
         b = f.pow(a ^ 1, 3)
-        if b:
+        if b and Butterfly(m, a, b) not in out:
             out.append(Butterfly(m, a, b))
     return out
 

@@ -1,7 +1,9 @@
 """Field arithmetic tests: frozen small-field values plus exhaustive laws."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from apnspectra.gf2m import (
@@ -234,14 +236,41 @@ def test_field_equality_and_custom_poly():
         Field(1)
 
 
+def _frobenius_by_squaring(F, x, e):
+    for _ in range(e):
+        x = F.mul(x, x)
+    return x
+
+
 def test_bulk_tables_match_scalar_ops():
     F = field(4)
     mt = F.mul_table
     ft = F.frobenius_table(2)
     for x in F.elements():
-        assert ft[x] == F.frobenius(x, 2)
+        assert ft[x] == _frobenius_by_squaring(F, x, 2)
         for y in F.elements():
             assert mt[x, y] == F.mul(x, y)
+
+
+# x is not primitive for any of these moduli (order 5 for 0x1f, 51 for
+# 0x11b), so a log table to the base x would be wrong on them
+@pytest.mark.parametrize("F", [Field(4, 0x1f)]
+                         + [field(m) for m in (8, 9, 12, 14, 16)], ids=repr)
+def test_log_tables_match_reference_mul(F):
+    rng = random.Random(F.poly)
+    q = F.order
+    xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(400)]
+    ys = [q - 1, 0, q - 1] + [rng.randrange(q) for _ in range(400)]
+    expect = [F.mul(x, y) for x, y in zip(xs, ys)]
+    assert F.mul_array(np.array(xs), np.array(ys)).tolist() == expect
+    assert [F.scalar_mul(x, y) for x, y in zip(xs, ys)] == expect
+    c = xs[3]
+    assert (F.mul_array(c, np.array(ys)).tolist()
+            == [F.mul(c, y) for y in ys])
+    for e in range(F.m):
+        ft = F.frobenius_table(e)
+        assert [int(ft[x]) for x in xs[:40]] == [
+            _frobenius_by_squaring(F, x, e) for x in xs[:40]]
 
 
 def test_trace_masks_encode_trace_pairing():

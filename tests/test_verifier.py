@@ -1,11 +1,18 @@
 """Verifier sweeps: confirmations, boundary records, and mutant detection."""
 
-from apnspectra.families import Taniguchi
+import pytest
+
+from apnspectra.errors import ParameterError
+from apnspectra.families import Butterfly, Taniguchi
+from apnspectra.gf2m import field
 from apnspectra.lincurves import DerivedPair, LinearizedBivariate
 from apnspectra.verifier import (
     CLAIMS,
     CONFIRMED,
     REFUTED,
+    butterfly_grid,
+    carlet11_sampled_grid,
+    taniguchi_grid,
     verify_butterfly,
     verify_carlet11,
     verify_cube_curve,
@@ -152,3 +159,23 @@ def test_whole_range_outside_hypothesis():
 def test_claim_registry_names():
     assert set(CLAIMS) == {"taniguchi-spectrum", "carlet11", "zhoupott",
                            "cube-curve", "s-full", "butterfly", "kernel-wht"}
+
+
+def test_sampled_grids_hold_no_repeats():
+    # without the repeat check these draw 152 and 198 distinct tuples in 200
+    for grid in (carlet11_sampled_grid(2), carlet11_sampled_grid(3),
+                 taniguchi_grid(5), taniguchi_grid(6), butterfly_grid(5)):
+        assert len(set(grid)) == len(grid)
+    assert len(carlet11_sampled_grid(2)) == 200
+    # 200 random butterflies, then each degenerate one not already drawn
+    grid = butterfly_grid(5)
+    F = field(5)
+    degenerate = {Butterfly(5, a, F.pow(a ^ 1, 3)) for a in range(2, 32)}
+    assert set(grid) == set(grid[:200]) | degenerate
+
+
+def test_sampled_grid_larger_than_its_space_rejected():
+    # m = 2 has 2 (i, j) pairs, 3 * 3 choices of s, t and 4 * 4 of u, v
+    assert len(carlet11_sampled_grid(2, count=288)) == 288
+    with pytest.raises(ParameterError):
+        carlet11_sampled_grid(2, count=289)
