@@ -18,12 +18,23 @@ no-common-component hypothesis, which is how every use here certifies it.
 concrete families; ``derive_pair_generic`` recomputes the same data from
 scratch by formally differentiating the trace form, and exists purely as a
 test oracle for the hardcoded tables.
+
+The selectors (lam, mu) of ``derive_pair`` may be ints or equal-shape int
+arrays.  An array call gives one batched pair: every coefficient is an
+array over the selectors, ``case`` is an array of labels and
+``kernel_dimension`` returns an int array, so a sweep over all 4^m - 1
+components makes one call of each.  Each family's formulas are written once,
+over field operations that take ints or arrays alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import ParameterError
 from .families import (
@@ -39,11 +50,18 @@ from .gf2m import Field, field as canonical_field
 from .linalg import gf2_kernel_basis, gf2_span
 
 
+def _is_zero(c) -> bool:
+    """Whether a coefficient is zero for every selector of its batch."""
+    return not c.any() if isinstance(c, np.ndarray) else c == 0
+
+
 @dataclass(frozen=True)
 class LinearizedBivariate:
     """sum_e C_e X^(2^(ek)) + D_e Y^(2^(ek)) with coefficient pairs (C_e, D_e).
 
-    Trailing all-zero pairs are trimmed on construction; the top index d
+    A coefficient is an element, or for a batched polynomial an int array
+    over the selectors (ints and arrays may mix).  Trailing pairs that are
+    zero for every selector are trimmed on construction; the top index d
     defines the formal degree 2^(dk).  The all-zero polynomial is kept as a
     single (0, 0) pair.
     """
@@ -54,7 +72,8 @@ class LinearizedBivariate:
 
     def __post_init__(self):
         coeffs = list(self.coeffs)
-        while len(coeffs) > 1 and coeffs[-1] == (0, 0):
+        while (len(coeffs) > 1 and _is_zero(coeffs[-1][0])
+               and _is_zero(coeffs[-1][1])):
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -63,20 +82,36 @@ class LinearizedBivariate:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return all(c == (0, 0) for c in self.coeffs)
+        return all(_is_zero(c) and _is_zero(dc) for c, dc in self.coeffs)
 
-    def evaluate(self, x: int, y: int) -> int:
-        f = self.field
-        mul = f.scalar_mul
-        acc = 0
-        for e, (c, dcoef) in enumerate(self.coeffs):
-            if c or dcoef:
-                frob = f.frobenius_table(e * self.k)
-                if c:
-                    acc ^= mul(c, int(frob[x]))
-                if dcoef:
-                    acc ^= mul(dcoef, int(frob[y]))
-        return acc
+
+@functools.lru_cache(maxsize=None)
+def _frobenius_basis(f: Field, e: int) -> list[int]:
+    """(2^t)^(2^e) for t < m: x^(2^e) on the polynomial basis, as ints."""
+    return f.frobenius_table(e)[1 << np.arange(f.m)].tolist()
+
+
+def _pair_columns(a: LinearizedBivariate,
+                  b: LinearizedBivariate) -> list[int] | np.ndarray:
+    """a(v) | b(v) << m at the 2m basis vectors v of GF(2^m)^2, read off
+    the coefficients: a list of ints, or an (..., 2m) array over the
+    selectors of a batched pair.  The map's kernel is the common zero set."""
+    f, m = a.field, a.field.m
+    shapes = [c.shape for poly in (a, b) for pair in poly.coeffs
+              for c in pair if isinstance(c, np.ndarray)]
+    mul = f.mul_array if shapes else f.scalar_mul
+    zero = np.zeros(np.broadcast_shapes(*shapes), np.int64) if shapes else 0
+    cols = [zero] * (2 * m)
+    for shift, poly in ((0, a), (m, b)):
+        for e, pair in enumerate(poly.coeffs):
+            images = _frobenius_basis(f, e * poly.k % m)
+            for slot, c in enumerate(pair):
+                if _is_zero(c):
+                    continue
+                for t, image in enumerate(images):
+                    j = slot * m + t
+                    cols[j] = cols[j] ^ (mul(c, image) << shift)
+    return np.stack(cols, axis=-1) if shapes else cols
 
 
 def _basis_columns(f: Field, a, b) -> list[int]:
@@ -108,7 +143,9 @@ class DerivedPair:
 
     A: LinearizedBivariate
     B: LinearizedBivariate
-    case: str  # "generic" | "mu_zero" | "lambda_zero" | "shared_infinity"
+    # "generic" | "mu_zero" | "lambda_zero" | "shared_infinity"; an array
+    # of these per selector for a batched pair
+    case: str | np.ndarray
     swap_xy: bool
     twist: int = 0
 
@@ -132,103 +169,153 @@ class DerivedPair:
 # hardcoded per-family pairs
 # ----------------------------------------------------------------------
 
-def derive_pair(params: FamilyParams, lam: int, mu: int,
+class _Ops(NamedTuple):
+    """The field operations the pair formulas are written in."""
+
+    mul: Callable  # (x, y) -> x * y
+    frob: Callable  # (x, e) -> x^(2^e), e taken mod m
+    label: Callable  # [(condition, case), ...] -> first case that holds
+
+
+def _first_label(rules) -> str:
+    return next((case for cond, case in rules if cond), "generic")
+
+
+def _label_array(rules) -> np.ndarray:
+    return np.select([cond for cond, _ in rules],
+                     [case for _, case in rules], "generic")
+
+
+def _ops(f: Field, batched: bool) -> _Ops:
+    """Operations over Python ints, or over int arrays (broadcasting
+    against ints) for a batch of selectors."""
+    if batched:
+        return _Ops(f.mul_array, lambda x, e: f.frobenius_table(e)[x],
+                    _label_array)
+    return _Ops(f.scalar_mul, lambda x, e: int(f.frobenius_table(e)[x]),
+                _first_label)
+
+
+def _check_selectors(f: Field, lam, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Selector arrays validated as Field.check validates one element."""
+    lam, mu = np.asarray(lam), np.asarray(mu)
+    if lam.shape != mu.shape:
+        raise ValueError(f"selector arrays differ in shape: {lam.shape} "
+                         f"and {mu.shape}")
+    for sel in (lam, mu):
+        if not np.issubdtype(sel.dtype, np.integer):
+            raise TypeError(f"selectors must be ints, got {sel.dtype}")
+        if sel.size and (sel.min() < 0 or sel.max() >= f.order):
+            raise ValueError(f"selector outside GF(2^{f.m})")
+    if np.any((lam == 0) & (mu == 0)):
+        raise ParameterError("component selector must be nonzero")
+    return lam.astype(np.int64), mu.astype(np.int64)
+
+
+def derive_pair(params: FamilyParams, lam, mu,
                 f: Field | None = None) -> DerivedPair:
-    """The (A, B) system of the component (lam, mu) of the given family."""
+    """The (A, B) system of the component (lam, mu) of the given family.
+
+    lam and mu are field elements, or equal-shape int arrays of them.
+    Arrays give one batched pair over all their selectors: its
+    coefficients are arrays, ``case`` is an array of labels and
+    ``kernel_dimension`` of it is an int array of the same shape.
+    """
     f = f or canonical_field(params.m)
     validate(params, f)
-    f.check(lam)
-    f.check(mu)
-    if lam == 0 and mu == 0:
-        raise ParameterError("component selector must be nonzero")
+    batched = isinstance(lam, np.ndarray) or isinstance(mu, np.ndarray)
+    if batched:
+        lam, mu = _check_selectors(f, lam, mu)
+    else:
+        lam, mu = f.check(lam), f.check(mu)
+        if lam == 0 and mu == 0:
+            raise ParameterError("component selector must be nonzero")
     if isinstance(params, Taniguchi):
-        return _pair_taniguchi(params, lam, mu, f)
-    if isinstance(params, Carlet11):
-        return _pair_carlet11(params, lam, mu, f)
-    if isinstance(params, ZhouPott):
-        return _pair_zhoupott(params, lam, mu, f)
-    if isinstance(params, Butterfly):
-        return _pair_butterfly(params, lam, mu, f)
-    raise ParameterError(f"no published pair for {type(params).__name__}; "
-                         "use derive_pair_generic")
+        build = _pair_taniguchi
+    elif isinstance(params, Carlet11):
+        build = _pair_carlet11
+    elif isinstance(params, ZhouPott):
+        build = _pair_zhoupott
+    elif isinstance(params, Butterfly):
+        build = _pair_butterfly
+    else:
+        raise ParameterError(f"no published pair for {type(params).__name__}"
+                             "; use derive_pair_generic")
+    return build(params, lam, mu, f, _ops(f, batched))
 
 
-def _pair_taniguchi(p: Taniguchi, lam: int, mu: int, f: Field) -> DerivedPair:
+def _pair_taniguchi(p: Taniguchi, lam, mu, f: Field,
+                    ops: _Ops) -> DerivedPair:
+    mul, frob = ops.mul, ops.frob
     k = p.k
-    lk = f.frobenius(lam, k)
+    lk = frob(lam, k)
     a = LinearizedBivariate(f, k, (
-        (f.mul(f.frobenius(mu, -k), f.frobenius(p.alpha, -k)),
-         f.frobenius(mu, -2 * k)),
+        (mul(frob(mu, -k), frob(p.alpha, -k)), frob(mu, -2 * k)),
         (lk, 0),
-        (0, f.frobenius(mu, -k)),
+        (0, frob(mu, -k)),
     ))
     b = LinearizedBivariate(f, k, (
-        (f.mul(mu, p.beta), 0),
+        (mul(mu, p.beta), 0),
         (0, lk),
-        (f.mul(f.frobenius(mu, k), f.frobenius(p.beta, k)), f.mul(mu, p.alpha)),
+        (mul(frob(mu, k), frob(p.beta, k)), mul(mu, p.alpha)),
     ))
-    case = "mu_zero" if mu == 0 else "generic"
-    return DerivedPair(a, b, case, swap_xy=True)
+    return DerivedPair(a, b, ops.label([(mu == 0, "mu_zero")]), swap_xy=True)
 
 
-def _pair_carlet11(p: Carlet11, lam: int, mu: int, f: Field) -> DerivedPair:
+def _pair_carlet11(p: Carlet11, lam, mu, f: Field, ops: _Ops) -> DerivedPair:
+    mul, frob = ops.mul, ops.frob
     k = (p.j - p.i) % p.m
-    st, tt = f.mul(mu, p.s), f.mul(mu, p.t)
-    ut, vt = f.mul(mu, p.u), f.mul(mu, p.v)
-    lj = f.frobenius(lam, p.j)
+    st, tt = mul(mu, p.s), mul(mu, p.t)
+    ut, vt = mul(mu, p.u), mul(mu, p.v)
+    lj = frob(lam, p.j)
     a = LinearizedBivariate(f, k, (
         (st, vt),
         (0, lj),
-        (f.frobenius(st, k), f.frobenius(ut, k)),
+        (frob(st, k), frob(ut, k)),
     ))
     b = LinearizedBivariate(f, k, (
         (ut, tt),
         (lj, 0),
-        (f.frobenius(vt, k), f.frobenius(tt, k)),
+        (frob(vt, k), frob(tt, k)),
     ))
-    if mu == 0:
-        case = "mu_zero"
-    elif f.mul(ut, vt) != 0 and f.mul(ut, vt) == f.mul(st, tt):
-        case = "shared_infinity"
-    else:
-        case = "generic"
+    uv = mul(ut, vt)
+    case = ops.label([(mu == 0, "mu_zero"),
+                      ((uv != 0) & (uv == mul(st, tt)), "shared_infinity")])
     return DerivedPair(a, b, case, swap_xy=False, twist=-p.i % p.m)
 
 
-def _pair_zhoupott(p: ZhouPott, lam: int, mu: int, f: Field) -> DerivedPair:
+def _pair_zhoupott(p: ZhouPott, lam, mu, f: Field, ops: _Ops) -> DerivedPair:
+    mul, frob = ops.mul, ops.frob
     k = p.k
-    lk = f.frobenius(lam, k)
-    ma = f.mul(mu, p.alpha)
+    lk = frob(lam, k)
+    ma = mul(mu, p.alpha)
     a = LinearizedBivariate(f, k, (
         (0, mu),
         (lk, 0),
-        (0, f.frobenius(mu, k)),
+        (0, frob(mu, k)),
     ))
     b = LinearizedBivariate(f, k, (
-        (f.frobenius(ma, -p.j), 0),
+        (frob(ma, -p.j), 0),
         (0, lk),
-        (f.frobenius(ma, k - p.j), 0),
+        (frob(ma, k - p.j), 0),
     ))
-    if mu == 0:
-        case = "mu_zero"
-    elif lam == 0:
-        case = "lambda_zero"
-    else:
-        case = "generic"
+    case = ops.label([(mu == 0, "mu_zero"), (lam == 0, "lambda_zero")])
     return DerivedPair(a, b, case, swap_xy=True)
 
 
-def _pair_butterfly(p: Butterfly, lam: int, mu: int, f: Field) -> DerivedPair:
+def _pair_butterfly(p: Butterfly, lam, mu, f: Field,
+                    ops: _Ops) -> DerivedPair:
+    mul = ops.mul
     al = p.alpha
     d = f.pow(al, 3) ^ p.beta
-    c1 = lam ^ f.mul(mu, d)
-    c2 = f.mul(lam, al) ^ f.mul(mu, f.sqr(al))
-    c3 = f.mul(lam, f.sqr(al)) ^ f.mul(mu, al)
-    c4 = f.mul(lam, d) ^ mu
-    a = LinearizedBivariate(f, 2, ((c1, c2), (f.sqr(c1), f.sqr(c3))))
-    b = LinearizedBivariate(f, 2, ((c3, c4), (f.sqr(c2), f.sqr(c4))))
-    case = "mu_zero" if mu == 0 else "generic"
-    return DerivedPair(a, b, case, swap_xy=False)
+    c1 = lam ^ mul(mu, d)
+    c2 = mul(lam, al) ^ mul(mu, f.sqr(al))
+    c3 = mul(lam, f.sqr(al)) ^ mul(mu, al)
+    c4 = mul(lam, d) ^ mu
+    a = LinearizedBivariate(f, 2, ((c1, c2), (mul(c1, c1), mul(c3, c3))))
+    b = LinearizedBivariate(f, 2, ((c3, c4), (mul(c2, c2), mul(c4, c4))))
+    return DerivedPair(a, b, ops.label([(mu == 0, "mu_zero")]),
+                       swap_xy=False)
 
 
 # ----------------------------------------------------------------------
@@ -240,18 +327,26 @@ def _require_compatible(a: LinearizedBivariate, b: LinearizedBivariate) -> None:
         raise ParameterError("pair must share field and Frobenius step")
 
 
-def kernel_dimension(a: LinearizedBivariate, b: LinearizedBivariate) -> int:
-    """GF(2) dimension of the common zero set of (a, b) on GF(2^m)^2."""
+def kernel_dimension(a: LinearizedBivariate, b: LinearizedBivariate):
+    """GF(2) dimension of the common zero set of (a, b) on GF(2^m)^2.
+
+    An int; for a batched pair an int array of the dimensions, one per
+    selector, each row eliminated by ``gf2_kernel_basis``.
+    """
     _require_compatible(a, b)
-    cols = _basis_columns(a.field, a.evaluate, b.evaluate)
-    return len(gf2_kernel_basis(cols))
+    cols = _pair_columns(a, b)
+    if isinstance(cols, list):
+        return len(gf2_kernel_basis(cols))
+    rows = cols.reshape(-1, cols.shape[-1]).tolist()
+    dims = [len(gf2_kernel_basis(row)) for row in rows]
+    return np.array(dims, dtype=np.int64).reshape(cols.shape[:-1])
 
 
 def kernel_zero_set(a: LinearizedBivariate, b: LinearizedBivariate) -> list[int]:
-    """The common zeros themselves, packed x | y << m, sorted."""
+    """The common zeros themselves, packed x | y << m, sorted (one pair,
+    not a batch)."""
     _require_compatible(a, b)
-    cols = _basis_columns(a.field, a.evaluate, b.evaluate)
-    return sorted(gf2_span(gf2_kernel_basis(cols)))
+    return sorted(gf2_span(gf2_kernel_basis(_pair_columns(a, b))))
 
 
 def infinity_point(poly: LinearizedBivariate) -> InfinityPoint:

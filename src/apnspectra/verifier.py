@@ -520,11 +520,21 @@ def verify_kernel_wht_agreement(m_values, seed: int = DEFAULT_SEED,
                                 instances=None, perturb_pair=None,
                                 mutate_table=None) -> Finding:
     """Per component: pair kernel dimension == transform plateau level ==
-    brute-force linear-space dimension, with zero disagreements."""
+    brute-force linear-space dimension, with zero disagreements.
+
+    Each instance takes one batched ``derive_pair`` over all its selectors
+    c = lam | mu << m and one ``kernel_dimension``.  ``perturb_pair``, if
+    given, is called once per instance as perturb_pair(pair, lam, mu) with
+    that batched pair and the int arrays lam, mu, and returns the pair to
+    reduce.  The first disagreeing selector of an instance is reported, and
+    ``components`` counts the selectors compared up to and including it.
+    """
     sweep = _Sweep("kernel-wht", {"m": list(m_values), "seed": seed})
     components = 0
     for m in m_values:
         q = 1 << m
+        selectors = np.arange(1, q * q)
+        lam, mu = selectors & (q - 1), selectors >> m
         for p in (instances if instances is not None
                   else _instances_for_triangle(m, seed)):
             if p.m != m:
@@ -535,19 +545,20 @@ def verify_kernel_wht_agreement(m_values, seed: int = DEFAULT_SEED,
                 fn = mutate_table(fn)
             levels, _ = component_spectrum_summary(fn)
             brute = linear_space_dimensions(fn)
-            for c in range(1, q * q):
-                lam, mu = c & (q - 1), c >> m
-                pair = derive_pair(p, lam, mu)
-                if perturb_pair is not None:
-                    pair = perturb_pair(pair, lam, mu)
-                kdim = kernel_dimension(pair.A, pair.B)
-                components += 1
-                if not (kdim == levels[c - 1] == brute[c - 1]):
-                    sweep.refute(params=asdict(p), selector=c,
-                                 kernel_dim=kdim, wht_level=int(levels[c - 1]),
-                                 brute_dim=int(brute[c - 1]),
-                                 reason="oracle disagreement")
-                    break
+            pair = derive_pair(p, lam, mu)
+            if perturb_pair is not None:
+                pair = perturb_pair(pair, lam, mu)
+            kdim = kernel_dimension(pair.A, pair.B)
+            bad = np.nonzero((kdim != levels) | (kdim != brute))[0]
+            if bad.size == 0:
+                components += len(selectors)
+                continue
+            i = int(bad[0])
+            components += i + 1
+            sweep.refute(params=asdict(p), selector=i + 1,
+                         kernel_dim=int(kdim[i]), wht_level=int(levels[i]),
+                         brute_dim=int(brute[i]),
+                         reason="oracle disagreement")
     return sweep.done(components=components)
 
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from apnspectra.errors import ParameterError
@@ -173,6 +174,62 @@ def test_degenerate_butterfly_zero_sets():
         directions = linear_structures(component_truth_table(fn, (lam, mu)))
         pair = derive_pair(params, lam, mu)
         assert pair.direction_zero_set() == directions
+
+
+# ----------------------------------------------------------------------
+# batched selectors: one pair over all components == the scalar pairs
+# ----------------------------------------------------------------------
+
+BATCH_INSTANCES = [
+    Taniguchi(3, 1, 0x3, 0x5),
+    Carlet11(3, 2, 1, 0x1, 0x1, 0x1, 0x1),  # degenerate: shared_infinity
+    ZhouPott(3, 1, 1, 0x4),
+    Butterfly(3, 0x6, 0x2),
+    Taniguchi(4, 3, 0x2, 0x7),
+    Carlet11(4, 1, 2, 0x5, 0x9, 0xa, 0x3),
+    ZhouPott(4, 1, 2, 0x7),
+    Taniguchi(5, 2, 0x11, 0x6),
+    Carlet11(5, 0, 2, 0x1d, 0x3, 0x0, 0x14),
+    ZhouPott(5, 2, 3, 0x13),
+    Butterfly(5, 0x7, 0x1b),
+    Taniguchi(6, 5, 0x21, 0x3e),
+    Carlet11(6, 1, 0, 0x2b, 0x11, 0x3c, 0x5),
+    ZhouPott(6, 1, 0, 0x2a),
+]
+
+
+@pytest.mark.parametrize("params", BATCH_INSTANCES)
+def test_batched_pair_matches_scalar_pairs(params):
+    q = 1 << params.m
+    sel = np.arange(1, q * q).reshape(q - 1, q + 1)
+    pair = derive_pair(params, sel & (q - 1), sel >> params.m)
+    dims = kernel_dimension(pair.A, pair.B)
+    assert dims.shape == sel.shape
+    assert pair.case.shape == sel.shape
+    for c, dim, case in zip(sel.flat, dims.flat, pair.case.flat):
+        one = derive_pair(params, int(c) & (q - 1), int(c) >> params.m)
+        assert (kernel_dimension(one.A, one.B), one.case) == (dim, case), c
+
+
+@pytest.mark.parametrize("lam, mu, error", [
+    ([1, 0, 2], [1, 0, 3], ParameterError),  # zero selector in the batch
+    ([1, 8, 2], [1, 1, 3], ValueError),  # element outside GF(8)
+    ([1, 2, 3], [1, -1, 3], ValueError),
+])
+def test_batched_selectors_rejected_like_scalar(lam, mu, error):
+    params = Taniguchi(3, 1, 0x3, 0x5)
+    with pytest.raises(error):
+        derive_pair(params, np.array(lam), np.array(mu))
+    bad = next(i for i, (x, y) in enumerate(zip(lam, mu))
+               if (x, y) == (0, 0) or not (0 <= x < 8 and 0 <= y < 8))
+    with pytest.raises(error):
+        derive_pair(params, lam[bad], mu[bad])
+
+
+def test_batched_selectors_must_share_shape():
+    with pytest.raises(ValueError):
+        derive_pair(Taniguchi(3, 1, 0x3, 0x5), np.array([1, 2]),
+                    np.array([1, 2, 3]))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Verifier sweeps: confirmations, boundary records, and mutant detection."""
 
+import json
+
 import pytest
 
 from apnspectra.errors import ParameterError
@@ -130,7 +132,8 @@ def test_kernel_wht_detects_coefficient_perturbation():
     finding = verify_kernel_wht_agreement(
         [3], instances=[Taniguchi(3, 1, 0x3, 0x5)], perturb_pair=perturb)
     assert finding.status == REFUTED
-    assert finding.counterexamples[0]["reason"] == "oracle disagreement"
+    assert_first_disagreement(finding, selector=1, kernel_dim=1,
+                              wht_level=0, brute_dim=0)
 
 
 def test_kernel_wht_detects_table_mutation():
@@ -138,6 +141,19 @@ def test_kernel_wht_detects_table_mutation():
         [3], instances=[Taniguchi(3, 1, 0x3, 0x5)],
         mutate_table=lambda fn: fn.flip_output_bit(7, 2))
     assert finding.status == REFUTED
+    assert_first_disagreement(finding, selector=2, kernel_dim=0,
+                              wht_level=-1, brute_dim=0)
+
+
+def assert_first_disagreement(finding, **report):
+    """One counterexample with exactly these fields, components counted up
+    to and including its selector, and a report that serialises to JSON."""
+    [cex] = finding.counterexamples
+    assert cex == dict(params={"m": 3, "k": 1, "alpha": 3, "beta": 5},
+                       reason="oracle disagreement", **report)
+    assert all(type(cex[key]) is int for key in report)
+    assert finding.details["components"] == report["selector"]
+    json.dumps(finding.to_dict())
 
 
 def test_findings_are_deterministic():
