@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def gf2_kernel_basis(columns) -> list[int]:
     """Kernel basis of the map sending e_j to columns[j].
@@ -34,3 +36,24 @@ def gf2_span(basis) -> list[int]:
     for b in basis:
         out += [v ^ int(b) for v in out]
     return out
+
+
+def gf2_rank_batch(rows) -> np.ndarray:
+    """GF(2) rank of each matrix in a batch, rows packed as int bit masks.
+
+    ``rows`` has shape (..., r): the last axis holds the r rows of one
+    matrix, bit j of a row being its column-j entry (j < 63).  Row i, once
+    reduced, is a pivot when nonzero, and its lowest set bit is XORed out
+    of every later row; every matrix of the batch is eliminated at once.
+    Returns an int64 array of shape ``rows.shape[:-1]``.
+    """
+    # row index first, so that each step reads contiguous batch slices
+    a = np.moveaxis(np.array(rows, dtype=np.int64), -1, 0).copy()
+    rank = np.zeros(a.shape[1:], dtype=np.int64)
+    for i in range(a.shape[0]):
+        pivot = a[i]
+        low = pivot & -pivot
+        rank += pivot != 0
+        later = a[i + 1:]
+        later ^= np.where(later & low, pivot, 0)
+    return rank

@@ -13,6 +13,16 @@ the spectrum (and hence plateau levels, nonlinearity, bent counts) is the
 same for any nondegenerate pairing, and ``trace_pairing_permutation`` gives
 the exact index substitution relating the two conventions, which the test
 suite verifies against a quartic-time direct evaluation.
+
+Plateau levels of all components (``component_spectrum_summary``) take one
+of two paths, chosen by the table alone.  ``is_quadratic`` certifies
+deg F <= 2 from the algebraic normal form.  A certified table takes the
+rank path: component c is then (n - rank M_c)-plateaued, where M_c is the
+matrix of the alternating form c.B(x, y) with
+B(x, y) = F(x+y) + F(x) + F(y) + F(0), and all M_c are ranked in batches by
+``linalg.gf2_rank_batch``.  Any other table falls back to
+``walsh_spectrum_summary``, the fast transform of every component, which
+the tests also keep as the rank path's oracle.
 """
 
 from __future__ import annotations
@@ -24,11 +34,13 @@ import numpy as np
 
 from .errors import MemoryCapError, ParameterError
 from .gf2m import Field
+from .linalg import gf2_rank_batch
 
 DEFAULT_MAX_M = 13
 MAX_M_ENV = "APNSPECTRA_MAX_M"
 
-_COMPONENT_CHUNK = 256
+_COMPONENT_CHUNK = 256  # selectors per transform chunk
+_RANK_CHUNK = 4096  # selectors per batch of component matrices
 
 
 def max_table_m() -> int:
@@ -246,7 +258,20 @@ def component_spectrum_summary(fn: VectorialFunction):
     """Per-component (plateau level, max |W|) over all nonzero selectors.
 
     Returns (levels, peaks): int64 arrays of length 2^(2m)-1 in selector
-    order; level -1 marks a component that is not plateaued.
+    order; level -1 marks a component that is not plateaued.  A table
+    certified quadratic by ``is_quadratic`` is summarised by GF(2) ranks,
+    any other by ``walsh_spectrum_summary``; both give the same arrays.
+    """
+    if is_quadratic(fn):
+        return _rank_spectrum_summary(fn)
+    return walsh_spectrum_summary(fn)
+
+
+def walsh_spectrum_summary(fn: VectorialFunction):
+    """Per-component (plateau level, max |W|) from the fast transform.
+
+    Returns (levels, peaks) as ``component_spectrum_summary`` does, for
+    any table; it is the fallback and the oracle of the rank path.
     """
     n = fn.n
     count = (1 << n) - 1
@@ -263,6 +288,66 @@ def component_spectrum_summary(fn: VectorialFunction):
         lev = np.where(flat & power2, 2 * log2 - n, -1)
         levels[cs - 1] = lev
         peaks[cs - 1] = mx
+    return levels, peaks
+
+
+def is_quadratic(fn: VectorialFunction) -> bool:
+    """Certificate that deg F <= 2: no ANF monomial has degree above two.
+
+    One XOR butterfly (the Moebius transform) turns the packed table into
+    the algebraic normal form of all 2m output bits at once.
+    """
+    anf = fn.table.copy()
+    size = anf.shape[0]
+    h = 1
+    while h < size:
+        v = anf.reshape(size // (2 * h), 2, h)
+        v[:, 1, :] ^= v[:, 0, :]
+        h *= 2
+    # an index keeps a set bit after its two lowest are cleared exactly
+    # when its monomial has degree three or more
+    support = np.flatnonzero(anf)
+    support &= support - 1
+    support &= support - 1
+    return not support.any()
+
+
+def _rank_spectrum_summary(fn: VectorialFunction):
+    """``component_spectrum_summary`` of a table of degree at most two.
+
+    Row i of M_c packs the bits c.B(e_i, e_j) over j, where c.v is the
+    component functional trace(lam * v1) + trace(mu * v2).  M_c is GF(2)
+    linear in c, so the rows for a block of selectors are the rows of the
+    block's first selector XOR a span built once from the unit selectors.
+    An alternating form has even rank, so an odd rank means a corrupt
+    matrix or elimination.
+    """
+    n = fn.n
+    f = fn.field
+    q = f.order
+    t = fn.table
+    e = np.int64(1) << np.arange(n, dtype=np.int64)
+    form = t[e[:, None] ^ e[None, :]] ^ t[e][:, None] ^ t[e][None, :] ^ t[0]
+    lam = f.trace_masks[e & (q - 1)][:, None, None]
+    mu = f.trace_masks[e >> f.m][:, None, None]
+    par = f.parity_table
+    unit = (par[form & lam] ^ par[(form >> f.m) & mu]).astype(np.int64) @ e
+    low = min(n, _RANK_CHUNK.bit_length() - 1)
+    span = np.zeros((1, n), dtype=np.int64)  # rows of M_c for c < 2^low
+    for b in range(low):
+        span = np.concatenate([span, span ^ unit[b]])
+    rank = np.empty(1 << n, dtype=np.int64)
+    for start in range(0, 1 << n, len(span)):
+        first = np.zeros(n, dtype=np.int64)  # rows of M_start
+        for b in range(low, n):
+            if start >> b & 1:
+                first ^= unit[b]
+        rank[start:start + len(span)] = gf2_rank_batch(span ^ first)
+    rank = rank[1:]
+    if np.any(rank & 1):
+        raise AssertionError("odd rank: a component form is not alternating")
+    levels = n - rank
+    peaks = np.int64(1) << ((n + levels) // 2)
     return levels, peaks
 
 
@@ -288,9 +373,8 @@ def spectrum_report(fn: VectorialFunction) -> SpectrumReport:
     """
     n = fn.n
     levels, peaks = component_spectrum_summary(fn)
-    counts: dict[int, int] = {}
-    for lev in sorted(set(int(v) for v in levels if v >= 0)):
-        counts[lev] = int(np.count_nonzero(levels == lev))
+    values, freq = np.unique(levels[levels >= 0], return_counts=True)
+    counts = {int(v): int(k) for v, k in zip(values, freq)}
     non_plateaued = int(np.count_nonzero(levels < 0))
     bent = counts.get(0, 0)
     semibent = counts.get(1, 0) + counts.get(2, 0)

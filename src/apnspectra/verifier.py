@@ -519,8 +519,13 @@ def _instances_for_triangle(m: int, seed: int) -> list[FamilyParams]:
 def verify_kernel_wht_agreement(m_values, seed: int = DEFAULT_SEED,
                                 instances=None, perturb_pair=None,
                                 mutate_table=None) -> Finding:
-    """Per component: pair kernel dimension == transform plateau level ==
-    brute-force linear-space dimension, with zero disagreements.
+    """Per component: pair kernel dimension == plateau level of the table
+    == brute-force linear-space dimension, with zero disagreements.
+
+    The level comes from ``component_spectrum_summary``: GF(2) ranks when
+    the table is certified quadratic, the fast transform otherwise (a
+    ``mutate_table`` flip takes that path).  A disagreement still reports
+    it as ``wht_level``.
 
     Each instance takes one batched ``derive_pair`` over all its selectors
     c = lam | mu << m and one ``kernel_dimension``.  ``perturb_pair``, if

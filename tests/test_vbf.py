@@ -3,27 +3,49 @@
 The frozen expected values come from the quartic-time defining sum
 (walsh_transform_direct) and from hand enumeration on 4- and 16-point
 tables; the fast butterfly is always checked against those, never against
-itself.
+itself.  The rank path of component_spectrum_summary is checked against
+the fast butterfly (walsh_spectrum_summary) and against the pair kernels.
 """
+
+import random
 
 import numpy as np
 import pytest
 
+from apnspectra import vbf
 from apnspectra.errors import MemoryCapError, ParameterError
+from apnspectra.families import (
+    CarletGeneral,
+    LinearizedMap,
+    Taniguchi,
+    build_function,
+    taniguchi_is_apn,
+)
 from apnspectra.gf2m import field
+from apnspectra.lincurves import derive_pair, kernel_dimension
 from apnspectra.vbf import (
     VectorialFunction,
     component_spectrum_summary,
     component_truth_table,
     differential_spectrum,
     fwht,
+    is_quadratic,
     linear_space_dimensions,
     linear_structures,
     plateau_level,
     spectrum_report,
     trace_pairing_permutation,
+    walsh_spectrum_summary,
     walsh_transform,
     walsh_transform_direct,
+)
+from apnspectra.verifier import (
+    DEFAULT_SEED,
+    _instances_for_triangle,
+    butterfly_grid,
+    carlet11_sampled_grid,
+    taniguchi_grid,
+    zhoupott_grid,
 )
 
 
@@ -156,6 +178,132 @@ def test_trace_pairing_matches_bitwise_after_substitution(m):
         assert np.array_equal(direct, fast[perm])
         # and the spectra agree as multisets
         assert sorted(direct.tolist()) == sorted(fast.tolist())
+
+
+# ----------------------------------------------------------------------
+# rank path: certificate, agreement with the transform, fallback
+# ----------------------------------------------------------------------
+
+def assert_rank_path_matches_transform(fn):
+    assert is_quadratic(fn)
+    levels, peaks = component_spectrum_summary(fn)
+    want_levels, want_peaks = walsh_spectrum_summary(fn)
+    assert levels.dtype == peaks.dtype == np.int64
+    assert np.array_equal(levels, want_levels)
+    assert np.array_equal(peaks, want_peaks)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_rank_path_matches_transform_on_every_triangle_instance(m):
+    for p in _instances_for_triangle(m, DEFAULT_SEED):
+        assert_rank_path_matches_transform(build_function(p))
+
+
+def family_samples():
+    """Fixed-seed instances of each family at m = 4-6, two CarletGeneral."""
+    rng = random.Random(20261018)
+    out = []
+    for m in (4, 5, 6):
+        grids = [taniguchi_grid(m), carlet11_sampled_grid(m), zhoupott_grid(m)]
+        if m % 2:
+            grids.append(butterfly_grid(m))
+        out += [rng.choice(g) for g in grids]
+    out.append(CarletGeneral(4, 1, LinearizedMap((0x3, 0, 0x7, 0)),
+                             LinearizedMap((0, 0x5, 0, 0)),
+                             LinearizedMap((0x9, 0, 0, 0x2)),
+                             LinearizedMap((0, 0, 0xb, 0))))
+    out.append(CarletGeneral(5, 2, LinearizedMap((0x1, 0x13, 0, 0, 0)),
+                             LinearizedMap((0, 0, 0x1e, 0, 0x7)),
+                             LinearizedMap((0, 0x5, 0, 0, 0)),
+                             LinearizedMap((0x11, 0, 0, 0x9, 0))))
+    return out
+
+
+@pytest.mark.parametrize("params", family_samples(), ids=repr)
+def test_rank_path_matches_transform_on_family_samples(params):
+    assert_rank_path_matches_transform(build_function(params))
+
+
+def test_affine_tables_are_certified():
+    fn = linear_identity(3)
+    assert is_quadratic(fn)
+    levels, peaks = component_spectrum_summary(fn)
+    assert np.all(levels == 6) and np.all(peaks == 64)
+
+
+def test_affine_terms_leave_the_levels_alone():
+    # F(x) + x + c with F(0) != 0 afterwards: still quadratic, same spectrum
+    fn = build_function(Taniguchi(3, 1, 3, 5))
+    idx = np.arange(fn.table.shape[0], dtype=np.int64)
+    shifted = VectorialFunction(fn.field, fn.table ^ idx ^ 0x2b)
+    assert_rank_path_matches_transform(shifted)
+    for got, want in zip(component_spectrum_summary(shifted),
+                         component_spectrum_summary(fn)):
+        assert np.array_equal(got, want)
+
+
+def test_single_bit_flips_fail_the_certificate_and_fall_back():
+    small = build_function(Taniguchi(2, 1, 1, 2))
+    larger = build_function(Taniguchi(3, 1, 3, 5))
+    flips = [(small, i, b) for i in range(16) for b in range(4)]
+    flips += [(larger, i, b) for i, b in random.Random(3).sample(
+        [(i, b) for i in range(64) for b in range(6)], 24)]
+    non_plateaued = 0
+    for fn, i, b in flips:
+        flipped = fn.flip_output_bit(i, b)
+        assert not is_quadratic(flipped)
+        levels, peaks = component_spectrum_summary(flipped)
+        want_levels, want_peaks = walsh_spectrum_summary(flipped)
+        assert np.array_equal(levels, want_levels)
+        assert np.array_equal(peaks, want_peaks)
+        non_plateaued += int(np.count_nonzero(levels == -1))
+    # the rank path never yields -1, so the transform produced these
+    assert non_plateaued > 0
+
+
+def test_odd_rank_is_reported_as_corruption(monkeypatch):
+    fn = build_function(Taniguchi(3, 1, 3, 5))
+    rank = vbf.gf2_rank_batch
+    monkeypatch.setattr(vbf, "gf2_rank_batch", lambda rows: rank(rows) | 1)
+    with pytest.raises(AssertionError, match="odd rank"):
+        component_spectrum_summary(fn)
+
+
+def taniguchi_root_count(F, p):
+    """Roots of x^(2^k+1) + alpha x + beta in GF(2^m), by a direct scan."""
+    return sum(1 for x in F.elements()
+               if F.mul(F.frobenius(x, p.k), x) ^ F.mul(p.alpha, x) ^ p.beta
+               == 0)
+
+
+def test_taniguchi_claims_at_m8():
+    # the first fixed-seed draws holding an APN and a three-root instance
+    m = 8
+    F = field(m)
+    q = F.order
+    rng = random.Random(20261018)
+    apn = three_roots = None
+    while apn is None or three_roots is None:
+        p = Taniguchi(m, rng.choice((1, 3, 5, 7)), rng.randrange(1, q),
+                      rng.randrange(1, q))
+        if apn is None and taniguchi_is_apn(m, p.k, p.alpha, p.beta):
+            apn = p
+        elif three_roots is None and taniguchi_root_count(F, p) == 3:
+            three_roots = p
+    selectors = np.arange(1, q * q)
+    reports = {}
+    for p in (apn, three_roots):
+        fn = build_function(p)
+        levels, _ = component_spectrum_summary(fn)
+        pair = derive_pair(p, selectors & (q - 1), selectors >> m)
+        assert np.array_equal(levels, kernel_dimension(pair.A, pair.B))
+        reports[p] = spectrum_report(fn)
+    n = 2 * m
+    classical = reports[apn]
+    assert classical.classical
+    assert classical.bent_count == 2 * ((1 << n) - 1) // 3 == 43690
+    assert classical.nonlinearity == (1 << (n - 1)) - (1 << (n // 2)) == 32512
+    assert max(reports[three_roots].counts) == 4
 
 
 # ----------------------------------------------------------------------
