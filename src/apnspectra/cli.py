@@ -13,6 +13,7 @@ Exit codes: 0 success/confirmed, 1 refuted claim or oracle mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -222,7 +223,9 @@ def cmd_verify(args, argv) -> int:
     return EXIT_REFUTED if finding.status == "refuted" else EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="apnspectra",
         description="Walsh spectra and APN tests for quadratic vectorial "
@@ -266,9 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     handlers = {"spectrum": cmd_spectrum, "apn": cmd_apn,

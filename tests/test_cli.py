@@ -58,6 +58,21 @@ def test_spectrum_usage_error_exits_2(capsys):
     assert code == 2
 
 
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    flags = ("--family", "taniguchi", "--m", "3", "--k", "1",
+             "--alpha", "0x2", "--beta", "0x3")
+    code, _, _ = run(capsys, "apn", *flags, "--method", "nosuch")
+    assert code == 2
+    code, out, _ = run(capsys, "apn", *flags, "--method", "criterion",
+                       "--format", "csv")
+    assert code == 0
+    assert "method,criterion" in out
+    # neither the rejected nor the CSV call's flags carry over
+    doc = run_json(capsys, "apn", *flags)
+    assert doc["payload"]["method"] == "both"
+    assert doc["payload"]["agree"] is True
+
+
 def test_spectrum_invalid_params_exit_2(capsys):
     code, _, err = run(capsys, "spectrum", "--family", "taniguchi",
                        "--m", "4", "--k", "2", "--alpha", "1", "--beta", "1")

@@ -1,5 +1,6 @@
 """Family builders, embeddings, and APN predicates against brute force."""
 
+import math
 import random
 
 import numpy as np
@@ -29,7 +30,9 @@ from apnspectra.families import (
     _POINT_EVALUATORS,
 )
 from apnspectra.gf2m import field
+from apnspectra.linalg import gf2_kernel_basis, gf2_rank_batch, gf2_span
 from apnspectra.vbf import differential_spectrum
+from apnspectra.verifier import zhoupott_grid
 
 W = 0x2
 
@@ -245,7 +248,7 @@ def test_derivative_kernel_map_matches_closed_form():
         for b in F.elements():
             if a == 0 and b == 0:
                 continue
-            tmap = derivative_kernel_map(gen, a, b)
+            tmap = gf2_span(derivative_kernel_map(gen, a, b))
             for y in F.elements():
                 expect = (F.mul(F.mul(F.frobenius(a, 3 * k), F.frobenius(a, 2 * k)),
                                 F.frobenius(y, 2 * k))
@@ -253,18 +256,42 @@ def test_derivative_kernel_map_matches_closed_form():
                                                      F.frobenius(b, k))),
                                   F.frobenius(y, k))
                           ^ F.mul(F.mul(beta, F.mul(F.frobenius(b, k), b)), y))
-                assert tmap.evaluate(F, y) == expect
+                assert tmap[y] == expect
 
 
 def test_derivative_kernel_map_axis_directions():
     gen = taniguchi_as_general(Taniguchi(3, 1, 0x3, 0x5))
     F = field(3)
-    tmap = derivative_kernel_map(gen, 0x4, 0)
+    a = 0x4
+    columns = derivative_kernel_map(gen, a, 0)
     # with b = 0 only the P-composition survives
-    assert [e for e, c in enumerate(tmap.coeffs) if c] == [2 % 3]
-    assert tmap.kernel(F) == [0]
+    scale = F.mul(F.frobenius(a, 1), a)
+    assert columns.tolist() == [gen.p.evaluate(F, F.mul(scale, 1 << t))
+                                for t in range(3)]
+    assert gf2_rank_batch(columns) == 3
     with pytest.raises(ParameterError):
         derivative_kernel_map(gen, 0, 0)
+    with pytest.raises(ParameterError):
+        derivative_kernel_map(gen, np.array([1, 0, 2]), np.array([0, 0, 5]))
+
+
+@pytest.mark.parametrize("params", [
+    taniguchi_as_general(Taniguchi(3, 2, 0x6, 0x3)),
+    zhoupott_as_general(ZhouPott(4, 3, 2, 0x7)),
+    CarletGeneral(4, 1, LinearizedMap((0x3, 0, 0x7, 0)),
+                  LinearizedMap((0, 0x5, 0, 0)),
+                  LinearizedMap((0x9, 0, 0, 0x2)),
+                  LinearizedMap((0, 0, 0xb, 0))),
+])
+def test_derivative_kernel_map_batch_equals_scalar_calls(params):
+    F = field(params.m)
+    q = F.order
+    d = np.arange(1, q * q)
+    batch = derivative_kernel_map(params, d >> F.m, d & (q - 1))
+    assert batch.shape == (q * q - 1, F.m)
+    for i in d:
+        assert batch[i - 1].tolist() == derivative_kernel_map(
+            params, int(i >> F.m), int(i & (q - 1))).tolist()
 
 
 def test_taniguchi_kernels_trivial_when_apn():
@@ -277,7 +304,7 @@ def test_taniguchi_kernels_trivial_when_apn():
     for a in F.elements():
         for b in F.elements():
             if (a, b) != (0, 0):
-                assert derivative_kernel_map(gen, a, b).kernel(F) == [0]
+                assert gf2_kernel_basis(derivative_kernel_map(gen, a, b)) == []
 
 
 @pytest.mark.parametrize("m,k", [(3, 1), (3, 2)])
@@ -296,14 +323,137 @@ def test_criterion_agrees_with_uniformity_zhoupott_m2():
     p = ZhouPott(2, 1, 2, W)
     assert carlet_general_is_apn(zhoupott_as_general(p))
     assert differential_spectrum(build_function(p)).uniformity == 2
+    # an odd j is APN at m = 2 although some derivative-kernel maps are
+    # singular: their kernels miss the obstruction set {0, 1}
+    p = ZhouPott(2, 1, 1, W)
+    d = np.arange(1, 16)
+    columns = derivative_kernel_map(zhoupott_as_general(p), d >> 2, d & 3)
+    assert gf2_rank_batch(columns).min() == 1
+    assert carlet_general_is_apn(zhoupott_as_general(p))
+    assert differential_spectrum(build_function(p)).is_apn
+
+
+def test_criterion_visits_every_direction_once(monkeypatch):
+    from apnspectra import families
+
+    visited = []
+
+    def recording(params, a, b, f=None):
+        visited.extend(zip(np.ravel(a).tolist(), np.ravel(b).tolist()))
+        return derivative_kernel_map(params, a, b, f)
+
+    monkeypatch.setattr(families, "derivative_kernel_map", recording)
+    m = 6
+    q = 1 << m
+    apn = next(Taniguchi(m, 1, a, b) for a in range(q) for b in range(1, q)
+               if taniguchi_is_apn(m, 1, a, b))
+    assert carlet_general_is_apn(taniguchi_as_general(apn))
+    assert sorted(visited) == [(a, b) for a in range(q) for b in range(q)
+                               if (a, b) != (0, 0)]
+
+
+def _compose(F, outer, inner):
+    """The linearized map outer(inner(x))."""
+    coeffs = [0] * F.m
+    for e, a in enumerate(outer.coeffs):
+        for d, c in enumerate(inner.coeffs):
+            if a and c:
+                coeffs[(d + e) % F.m] ^= F.mul(a, F.frobenius(c, e))
+    return LinearizedMap(tuple(coeffs))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_criterion_agrees_with_uniformity_on_multi_term_maps(m):
+    # A random linearized map applied after a random Carlet 2011 embedding
+    # gives P, Q, R and S with several terms each; (XY, A(G)) is affine
+    # equivalent to (XY, G) when A is invertible, so both verdicts occur.
+    F = field(m)
+    q = F.order
+    rng = random.Random(f"multi-term:{m}")
+    verdicts = set()
+    multi_term_apn = 0
+    for _ in range(40):
+        i = rng.randrange(m)
+        j = rng.choice([j for j in range(m) if math.gcd(j - i, m) == 1])
+        base = carlet11_as_general(Carlet11(
+            m, i, j, rng.randrange(1, q), rng.randrange(1, q),
+            rng.randrange(q), rng.randrange(q)))
+        outer = LinearizedMap(tuple(rng.randrange(q) for _ in range(m)))
+        maps = [_compose(F, outer, g)
+                for g in (base.p, base.q, base.r, base.s)]
+        p = CarletGeneral(m, base.k, *maps)
+        crit = carlet_general_is_apn(p)
+        assert crit == differential_spectrum(build_function(p)).is_apn, p
+        verdicts.add(crit)
+        multi_term_apn += crit and any(
+            sum(1 for c in g.coeffs if c) > 1 for g in maps)
+    assert verdicts == {True, False}
+    # the APN draws at m = 2 all have monomial maps
+    assert multi_term_apn or m == 2
+
+
+def test_criterion_on_taniguchi_pair_at_m8():
+    # the APN and three-root draws of the m = 8 spectrum test
+    apn = Taniguchi(8, 1, 0x9f, 0x46)
+    three_roots = Taniguchi(8, 1, 0xd6, 0x39)
+    assert carlet_general_is_apn(taniguchi_as_general(apn))
+    assert taniguchi_is_apn(8, 1, 0x9f, 0x46)
+    assert not carlet_general_is_apn(taniguchi_as_general(three_roots))
+
+
+def test_zhoupott_criterion_equals_simple_predicate_m6():
+    # Zhou-Pott necessity: the exact criterion must agree with the j/cube
+    # predicate.  The Hasse-Weil argument needs 2^(m/2) > 2(2^k - 1), which
+    # excludes k = 5 at m = 6, so each step is reported on its own line.
+    m = 6
+    counts = {}
+    for p in zhoupott_grid(m):
+        crit = carlet_general_is_apn(zhoupott_as_general(p))
+        assert crit == zhoupott_apn_predicate(m, p.k, p.j, p.alpha), p
+        total, apn = counts.get(p.k, (0, 0))
+        counts[p.k] = (total + 1, apn + crit)
+    for k, (total, apn) in sorted(counts.items()):
+        inside = (1 << (m // 2)) > 2 * ((1 << k) - 1)
+        print(f"zhoupott m=6 k={k} ({'inside' if inside else 'outside'} "
+              f"2^(m/2) > 2(2^k-1)): {total} instances, {apn} APN, "
+              f"0 mismatches")
+    assert counts == {1: (252, 84), 5: (252, 84)}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_obstruction_mask_equals_defining_set(m):
+    F = field(m)
+    for k in range(1, m):
+        if math.gcd(k, m) != 1:
+            continue
+        expect = np.zeros(F.order, dtype=bool)
+        for u in F.elements():
+            uk1 = F.mul(F.frobenius(u, k), u)
+            for t in F.elements():
+                expect[F.mul(uk1, F.frobenius(t, k) ^ t)] = True
+        assert np.array_equal(kernel_obstruction_set(F, k), expect)
+
+
+def test_obstruction_mask_is_whole_field_from_m3():
+    # so the criterion needs no odd/even split: for m >= 3 a nonzero
+    # kernel element always lies in the obstruction set
+    for m in range(3, 11):
+        F = field(m)
+        for k in range(1, m):
+            if math.gcd(k, m) == 1:
+                assert kernel_obstruction_set(F, k).all()
+    mask = kernel_obstruction_set(field(2), 1)
+    assert np.flatnonzero(mask).tolist() == [0, 1]
+    with pytest.raises(ValueError):
+        mask[2] = True
 
 
 def test_obstruction_set_contains_cubes_for_even_m():
     # u^(2^k+1) ranges over the cubes when m is even and k is odd
     F = field(4)
     sigma = kernel_obstruction_set(F, 1)
-    cubes = {F.pow(x, 3) for x in F.elements()}
-    assert cubes <= sigma
+    cubes = [F.pow(x, 3) for x in F.elements()]
+    assert sigma[cubes].all()
 
 
 # ----------------------------------------------------------------------
