@@ -52,9 +52,6 @@ class LinearizedMap:
         coeffs[e % m] ^= c
         return cls(tuple(coeffs))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def evaluate(self, f: Field, x: int) -> int:
         acc = 0
         for e, c in enumerate(self.coeffs):

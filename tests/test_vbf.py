@@ -4,13 +4,17 @@ The frozen expected values come from the quartic-time defining sum
 (walsh_transform_direct) and from hand enumeration on 4- and 16-point
 tables; the fast butterfly is always checked against those, never against
 itself.  The rank path of component_spectrum_summary is checked against
-the fast butterfly (walsh_spectrum_summary) and against the pair kernels.
+the fast butterfly (walsh_spectrum_summary) and against the pair kernels;
+the rank path of differential_spectrum against the bincount
+(difference_table_spectrum).
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apnspectra import vbf
 from apnspectra.errors import MemoryCapError, ParameterError
@@ -19,6 +23,8 @@ from apnspectra.families import (
     LinearizedMap,
     Taniguchi,
     build_function,
+    carlet_general_is_apn,
+    taniguchi_as_general,
     taniguchi_is_apn,
 )
 from apnspectra.gf2m import field
@@ -27,6 +33,7 @@ from apnspectra.vbf import (
     VectorialFunction,
     component_spectrum_summary,
     component_truth_table,
+    difference_table_spectrum,
     differential_spectrum,
     fwht,
     is_quadratic,
@@ -248,7 +255,7 @@ def test_single_bit_flips_fail_the_certificate_and_fall_back():
     flips = [(small, i, b) for i in range(16) for b in range(4)]
     flips += [(larger, i, b) for i, b in random.Random(3).sample(
         [(i, b) for i in range(64) for b in range(6)], 24)]
-    non_plateaued = 0
+    non_plateaued = rank_path_wrong = 0
     for fn, i, b in flips:
         flipped = fn.flip_output_bit(i, b)
         assert not is_quadratic(flipped)
@@ -257,8 +264,13 @@ def test_single_bit_flips_fail_the_certificate_and_fall_back():
         assert np.array_equal(levels, want_levels)
         assert np.array_equal(peaks, want_peaks)
         non_plateaued += int(np.count_nonzero(levels == -1))
+        want = difference_table_spectrum(flipped)
+        assert_same_differential(differential_spectrum(flipped), want)
+        rank_path_wrong += vbf._rank_differential_spectrum(flipped) != want
     # the rank path never yields -1, so the transform produced these
     assert non_plateaued > 0
+    # and the rank path would have miscounted these tables
+    assert rank_path_wrong > 0
 
 
 def test_odd_rank_is_reported_as_corruption(monkeypatch):
@@ -332,6 +344,90 @@ def test_differential_spectrum_of_linear_map():
     assert not d.is_apn
     assert d.histogram[16] == 15  # one full bin per direction
     assert d.histogram[0] == 15 * 15
+
+
+def assert_same_differential(got, want):
+    assert got.uniformity == want.uniformity
+    assert list(got.histogram.items()) == list(want.histogram.items())
+
+
+def assert_rank_differential_matches_table(fn):
+    assert is_quadratic(fn)
+    got = differential_spectrum(fn)
+    assert_same_differential(got, difference_table_spectrum(fn))
+    # each of the 2^n - 1 rows has 2^n entries summing to 2^n
+    size = 1 << fn.n
+    assert sum(got.histogram.values()) == (size - 1) * size
+    assert sum(k * v for k, v in got.histogram.items()) == (size - 1) * size
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_rank_differential_matches_table_on_every_triangle_instance(m):
+    for p in _instances_for_triangle(m, DEFAULT_SEED):
+        assert_rank_differential_matches_table(build_function(p))
+
+
+@pytest.mark.parametrize("params", family_samples(), ids=repr)
+def test_rank_differential_matches_table_on_family_samples(params):
+    # at m = 6 the 4095 directions end in a partial block
+    assert_rank_differential_matches_table(build_function(params))
+
+
+def test_rank_differential_matches_table_on_affine_tables():
+    assert_rank_differential_matches_table(linear_identity(3))
+    # F(x) + x + c with F(0) != 0 afterwards
+    fn = build_function(Taniguchi(3, 1, 3, 5))
+    idx = np.arange(fn.table.shape[0], dtype=np.int64)
+    shifted = VectorialFunction(fn.field, fn.table ^ idx ^ 0x2b)
+    assert_rank_differential_matches_table(shifted)
+    assert_same_differential(differential_spectrum(shifted),
+                             differential_spectrum(fn))
+
+
+def test_certified_tables_take_the_rank_path(monkeypatch):
+    fn = build_function(Taniguchi(3, 1, 3, 5))
+    want = differential_spectrum(fn)
+
+    def bincount_called(fn):
+        raise RuntimeError("bincount")
+
+    monkeypatch.setattr(vbf, "difference_table_spectrum", bincount_called)
+    assert_same_differential(differential_spectrum(fn), want)
+    with pytest.raises(RuntimeError, match="bincount"):
+        differential_spectrum(fn.flip_output_bit(5, 0))
+
+
+def test_rank_differential_of_taniguchi_pair_at_m8():
+    # the APN and three-root draws of test_taniguchi_claims_at_m8; the
+    # bincount would take about 42 s each
+    assert differential_spectrum(
+        build_function(Taniguchi(8, 1, 0x9f, 0x46))).uniformity == 2
+    assert differential_spectrum(
+        build_function(Taniguchi(8, 1, 0xd6, 0x39))).uniformity == 8
+
+
+@st.composite
+def carlet_general_instances(draw):
+    """Arbitrary linearized maps, or a Taniguchi embedding (often APN)."""
+    m = draw(st.integers(2, 4))
+    q = 1 << m
+    k = draw(st.sampled_from([k for k in range(1, m) if math.gcd(k, m) == 1]))
+    if draw(st.booleans()):
+        alpha = draw(st.integers(0, q - 1))
+        beta = draw(st.integers(1, q - 1))
+        return taniguchi_as_general(Taniguchi(m, k, alpha, beta))
+    coeffs = st.lists(st.integers(0, q - 1), min_size=m, max_size=m)
+    maps = [LinearizedMap(tuple(draw(coeffs))) for _ in range(4)]
+    return CarletGeneral(m, k, *maps)
+
+
+@settings(derandomize=True, deadline=None)
+@given(carlet_general_instances())
+def test_rank_differential_and_criterion_agree_with_table(params):
+    fn = build_function(params)
+    want = difference_table_spectrum(fn)
+    assert_same_differential(vbf._rank_differential_spectrum(fn), want)
+    assert carlet_general_is_apn(params) == (want.uniformity == 2)
 
 
 def test_differential_counts_always_even():
